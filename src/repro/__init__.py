@@ -66,6 +66,7 @@ from .core import (
     PhiMap,
     ShiftedPhiMap,
     TrivialDetectorError,
+    extraction_stop_rule,
     k_converge,
     locally_stable_outputs,
     make_boosted_consensus,
@@ -246,6 +247,7 @@ __all__ = [
     "spec_key",
     "run_theorem5_adversary",
     "stable_emulated_output",
+    "extraction_stop_rule",
     "summarize",
     "abd_snapshot_api",
     "check",

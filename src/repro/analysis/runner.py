@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
-from ..core.extraction import make_extraction_protocol, stable_emulated_output
+from ..core.extraction import (
+    extraction_stop_rule,
+    make_extraction_protocol,
+    stable_emulated_output,
+)
 from ..core.f_resilient import make_upsilon_f_set_agreement
 from ..core.samples import PhiMap, ShiftedPhiMap
 from ..core.set_agreement import make_upsilon_set_agreement
@@ -192,8 +196,16 @@ def run_extraction_trial(
     shift: int = 0,
     pattern: Optional[FailurePattern] = None,
     collector: Optional[MetricsCollector] = None,
+    stop_rule: Optional[Callable] = extraction_stop_rule,
 ) -> ExtractionResult:
-    """One seeded Fig. 3 run extracting Υf from ``spec``."""
+    """One seeded Fig. 3 run extracting Υf from ``spec``.
+
+    The run stops once ``stop_rule(phi, pattern, history)`` (default
+    :func:`~repro.core.extraction.extraction_stop_rule`) proves the
+    emulated output final, and never later than ``max_steps``; the
+    verdict is judged at the ``max_steps`` horizon either way, so only
+    ``total_steps`` (steps actually run) depends on the stop.  Pass
+    ``stop_rule=None`` to always run the full budget."""
     rng = random.Random(f"ex:{spec.name}:{env.f}:{seed}")
     if pattern is None:
         pattern = env.random_pattern(rng, max_crash_time=stabilization_time or 50)
@@ -213,8 +225,15 @@ def run_extraction_trial(
         history=history,
         bus=collector.bus,
     )
-    sim.run(max_steps=max_steps, scheduler=RandomScheduler(seed + 1))
-    outputs = stable_emulated_output(sim, pattern)
+    sim.run(
+        max_steps=max_steps,
+        scheduler=RandomScheduler(seed + 1),
+        stop_when=(
+            stop_rule(phi, pattern, history) if stop_rule is not None
+            else None
+        ),
+    )
+    outputs = stable_emulated_output(sim, pattern, horizon=max_steps)
     upsilon = UpsilonFSpec(env)
     if outputs is None:
         return ExtractionResult(

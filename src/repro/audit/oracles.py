@@ -22,6 +22,11 @@ pair               claim
                      (lock storms, a torn-process kill, cache ENOSPC)
                      settles every trial exactly once, byte-identical to
                      a pristine serial run of the same grid.
+``early-stop``       a Fig. 3 extraction stopped by
+                     :func:`~repro.core.extraction.extraction_stop_rule`
+                     reaches the same (stabilized, output, legal, settle
+                     time) verdict as the same run taken to its full
+                     step budget — plain and chaotic, w = 0 and w > 0.
 =================  =========================================================
 
 Every oracle derives its case parameters from
@@ -32,8 +37,10 @@ picklable :class:`~repro.audit.runner.AuditTrialSpec`.
 ``sabotage`` hooks exist to prove the oracles can fail: ``"cache"``
 poisons one stored cache entry with a well-formed pickle of a wrong
 result, ``"abd-ack"`` corrupts the first ABD read acknowledgement on
-the wire, and ``"infra-dup"`` doctors the drained farm store with a
-duplicate ``done`` row.  Each must flip a clean audit into a divergence
+the wire, ``"infra-dup"`` doctors the drained farm store with a
+duplicate ``done`` row, and ``"early-stop"`` drops the stop rule's
+post-stabilization window (it fires as soon as the emitted values look
+settled).  Each must flip a clean audit into a divergence
 report.
 """
 
@@ -59,6 +66,7 @@ PAIRS_PER_CASE = {
     "replay": 1,
     "chaos-zero": 1,
     "faulty-infra": 3,
+    "early-stop": 6,
 }
 
 ORACLE_PAIRS = tuple(sorted(PAIRS_PER_CASE))
@@ -657,6 +665,140 @@ def _faulty_infra(case: int, seed: int, sabotage: str) -> CaseOutcome:
     return outcome
 
 
+# -- early stop vs full horizon -----------------------------------------------
+
+
+def _extraction_verdict(sim, horizon: int) -> Tuple[Any, ...]:
+    """(stabilized, output, settle time) of a finished Fig. 3 run, judged
+    at ``horizon`` exactly as the trial drivers judge it."""
+    from ..core.extraction import stable_emulated_output
+
+    pattern = sim.pattern
+    outputs = stable_emulated_output(sim, pattern, horizon=horizon)
+    if outputs is None:
+        return (False, None, -1)
+    values = {frozenset(v) for v in outputs.values()}
+    output = next(iter(values)) if len(values) == 1 else None
+    settle = max(
+        sim.trace.emit_stabilization_time(pid) or 0
+        for pid in pattern.correct
+    )
+    return (len(values) == 1, output, settle)
+
+
+def _early_stop(case: int, seed: int, sabotage: str) -> CaseOutcome:
+    """Fuzz Fig. 3 runs: early stop vs the same run to the step cap.
+
+    Four plain trials (detector × n × f × seed × stabilization time ×
+    ``shift`` — ``shift > 0`` takes the batch-observation path) and two
+    chaos trials (lying prefix, scheduler bursts and starvation).  Each
+    runs twice, stop rule on and off; the verdicts must be identical and
+    the early run may never exceed the cap.
+    """
+    import functools
+
+    from ..analysis.runner import run_extraction_trial
+    from ..chaos.trial import ChaosTrialSpec, run_chaos_trial
+    from ..core.extraction import extraction_stop_rule
+    from ..detectors.registry import make_detector
+    from ..failures.environment import Environment
+    from ..runtime.process import System
+
+    rng = _case_rng("early-stop", seed, case)
+    stop_rule = extraction_stop_rule
+    if sabotage == "early-stop":
+        stop_rule = functools.partial(extraction_stop_rule, window=0)
+    outcome = CaseOutcome(trials=PAIRS_PER_CASE["early-stop"])
+
+    def report(spec: Dict[str, Any], fields: List[List[str]]) -> None:
+        outcome.divergences.append(
+            Divergence(
+                pair="early-stop",
+                case=case,
+                seed=seed,
+                kind="result",
+                detail=(
+                    f"{spec['kind']} {spec.get('detector')} "
+                    f"n={spec['n_processes']} seed={spec['seed']}: early "
+                    f"stop differs from the full-horizon run"
+                ),
+                spec=spec,
+                fields=fields,
+            )
+        )
+
+    def compare(spec, early, full, early_steps, cap) -> None:
+        fields = [
+            [name, repr(a), repr(b)]
+            for name, a, b in zip(
+                ("stabilized", "output", "legal", "output_settle_time"),
+                early, full,
+            )
+            if a != b
+        ]
+        if early_steps > cap:
+            fields.append(["total_steps", repr(early_steps), f"<= {cap}"])
+        if fields:
+            report(spec, fields)
+
+    for _ in range(4):
+        n = rng.choice((3, 4))
+        if n == 3:
+            detector, f = rng.choice(_EXTRACTABLE_COMBOS)
+        else:
+            detector, f = rng.choice(("omega", "omega_n", "diamond_p")), None
+        system = System(n)
+        env = Environment.wait_free(system) if f is None \
+            else Environment(system, f)
+        params = dict(
+            seed=rng.randrange(1_000_000),
+            stabilization_time=rng.choice((0, 20, 60, 150)),
+            max_steps=rng.choice((400, 3_000, 6_000)),
+            shift=rng.choice((0, 0, 1, 2)),
+        )
+        runs = [
+            run_extraction_trial(
+                make_detector(detector, env), env, stop_rule=rule, **params
+            )
+            for rule in (stop_rule, None)
+        ]
+        early, full = (
+            (r.stabilized, r.output, r.legal, r.output_settle_time)
+            for r in runs
+        )
+        compare(
+            dict(params, kind="extraction", detector=detector,
+                 n_processes=n, f=f),
+            early, full, runs[0].total_steps, params["max_steps"],
+        )
+
+    for _ in range(2):
+        spec = ChaosTrialSpec(
+            protocol="extraction",
+            n_processes=rng.choice((3, 4)),
+            seed=rng.randrange(1_000_000),
+            detector=rng.choice(("omega", "omega_n", "diamond_p")),
+            lying_prefix=rng.choice((0, 30, 120)),
+            burst_length=rng.choice((0, 8)),
+            starvation_window=rng.choice((0, 20)),
+            max_steps=rng.choice((3_000, 6_000)),
+        )
+        verdicts, steps = [], []
+        for rule in (stop_rule, None):
+            sims: List[Any] = []
+            result = run_chaos_trial(spec, sim_out=sims, stop_rule=rule)
+            stabilized, output, settle = _extraction_verdict(
+                sims[0], spec.max_steps
+            )
+            verdicts.append((stabilized, output, result.ok, settle))
+            steps.append(result.total_steps)
+        compare(
+            dict(dataclasses.asdict(spec), kind=spec.kind),
+            verdicts[0], verdicts[1], steps[0], spec.max_steps,
+        )
+    return outcome
+
+
 _ORACLES = {
     "serial-parallel": _serial_parallel,
     "cache": _cache,
@@ -664,4 +806,5 @@ _ORACLES = {
     "replay": _replay,
     "chaos-zero": _chaos_zero,
     "faulty-infra": _faulty_infra,
+    "early-stop": _early_stop,
 }

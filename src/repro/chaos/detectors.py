@@ -54,6 +54,11 @@ class LyingHistory(History):
             return self._lie(pid, t)
         return self.inner.value(pid, t)
 
+    @property
+    def stable_from(self) -> Optional[int]:
+        inner = self.inner.stable_from
+        return None if inner is None else max(inner, self.lie_until)
+
     def describe(self) -> str:
         return f"lying(until t={self.lie_until}, then {self.inner.describe()})"
 

@@ -20,6 +20,7 @@ import dataclasses
 import random
 from typing import Any, Dict, List, Optional
 
+from ..core.extraction import extraction_stop_rule
 from .config import ChaosConfig
 
 #: Default per-trial step budget (ABD quorum rounds under jitter are slow).
@@ -180,6 +181,7 @@ def run_chaos_trial(
     *,
     pristine: bool = False,
     sim_out: Optional[list] = None,
+    stop_rule=extraction_stop_rule,
 ) -> ChaosTrialResult:
     """Execute one chaos trial and check its properties.
 
@@ -198,6 +200,10 @@ def run_chaos_trial(
 
     ``sim_out``, when a list, receives the finished
     :class:`~repro.runtime.simulation.Simulation` (for trace-level diffs).
+
+    ``stop_rule`` (extraction only) is the early-stop factory, default
+    :func:`~repro.core.extraction.extraction_stop_rule`; ``None`` runs
+    every extraction to ``spec.max_steps``.
     """
     _apply_sabotage(spec.sabotage)
     if spec.protocol not in PROTOCOLS:
@@ -236,7 +242,7 @@ def run_chaos_trial(
         )
     elif spec.protocol == "extraction":
         sim, f_eff, violations, decided = _run_extraction(
-            spec, system, chaos, rng, scheduler, bus
+            spec, system, chaos, rng, scheduler, bus, stop_rule
         )
         network = None
     else:
@@ -314,7 +320,7 @@ def _run_set_agreement(spec, system, chaos, rng, scheduler, bus):
     return sim, f_eff, violations, decided
 
 
-def _run_extraction(spec, system, chaos, rng, scheduler, bus):
+def _run_extraction(spec, system, chaos, rng, scheduler, bus, stop_rule):
     from ..core.extraction import (
         make_extraction_protocol,
         stable_emulated_output,
@@ -336,19 +342,27 @@ def _run_extraction(spec, system, chaos, rng, scheduler, bus):
         rng, max_crash_time=max(chaos.lying_prefix, 50)
     )
     history = source.sample_chaotic_history(pattern, rng, chaos)
+    phi = PhiMap(source, env)
     sim = Simulation(
         env.system,
-        make_extraction_protocol(PhiMap(source, env)),
+        make_extraction_protocol(phi),
         inputs={},
         pattern=pattern,
         history=history,
         bus=bus,
     )
-    sim.run(max_steps=spec.max_steps, scheduler=scheduler)
+    sim.run(
+        max_steps=spec.max_steps,
+        scheduler=scheduler,
+        stop_when=(
+            stop_rule(phi, pattern, history) if stop_rule is not None
+            else None
+        ),
+    )
     violations = _collect(
         sim, [UpsilonOutputProperty(system.pid_set, env.min_correct)]
     )
-    outputs = stable_emulated_output(sim, pattern)
+    outputs = stable_emulated_output(sim, pattern, horizon=spec.max_steps)
     decided = False
     if outputs is not None:
         values = {frozenset(v) for v in outputs.values()}
@@ -359,7 +373,8 @@ def _run_extraction(spec, system, chaos, rng, scheduler, bus):
             )
     if not decided:
         violations.append(
-            f"extraction output not stabilized/legal after {sim.time} steps"
+            f"extraction output not stabilized/legal after "
+            f"{spec.max_steps} steps"
         )
     return sim, env.f, violations, decided
 

@@ -450,12 +450,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="where to write the JSON report "
                             "(default audit-report.json)")
     audit.add_argument("--sabotage",
-                       choices=("cache", "abd-ack", "infra-dup"),
+                       choices=("cache", "abd-ack", "infra-dup",
+                                "early-stop"),
                        default="",
                        help="self-test: inject a known equivalence break "
                             "(a poisoned cache entry / a corrupted ABD "
-                            "ack / a duplicated farm row) — the audit "
-                            "must then exit 4")
+                            "ack / a duplicated farm row / an extraction "
+                            "stop rule without its settle window) — the "
+                            "audit must then exit 4")
     audit.add_argument("--json", action="store_true",
                        help="print the full report as JSON to stdout")
 

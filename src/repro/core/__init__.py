@@ -22,9 +22,12 @@ from .compose import (
 )
 from .converge import ConvergeInstance, k_converge
 from .extraction import (
+    ExtractionSettled,
+    extraction_stop_rule,
     locally_stable_outputs,
     make_extraction_protocol,
     make_local_extraction_protocol,
+    settle_window,
     stable_emulated_output,
 )
 from .f_resilient import make_upsilon_f_set_agreement
@@ -59,6 +62,7 @@ __all__ = [
     "AdversaryResult",
     "DetectorHierarchy",
     "EventuallySynchronousScheduler",
+    "ExtractionSettled",
     "GrowingDelayScheduler",
     "ConvergeInstance",
     "DECISION",
@@ -79,6 +83,7 @@ __all__ = [
     "k_converge",
     "locally_stable_outputs",
     "make_boosted_consensus",
+    "extraction_stop_rule",
     "make_extraction_protocol",
     "make_local_extraction_protocol",
     "make_omega_consensus",
@@ -93,6 +98,7 @@ __all__ = [
     "round_value_key",
     "run_theorem1_adversary",
     "run_theorem5_adversary",
+    "settle_window",
     "stable_emulated_output",
     "stable_flag_key",
     "upsilon_to_omega_two_process_transform",

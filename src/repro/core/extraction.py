@@ -223,16 +223,21 @@ def locally_stable_outputs(
 
 
 def stable_emulated_output(
-    sim, pattern, tail_fraction: float = 0.25
+    sim, pattern, tail_fraction: float = 0.25,
+    horizon: Optional[int] = None,
 ) -> Optional[Dict[int, Any]]:
     """Final emitted value per correct process, or ``None`` if any correct
     process's emits were still changing during the trailing window.
 
     ``tail_fraction`` of the run (by time) must be change-free for the run
     to count as stabilized — the finite-horizon stand-in for "eventually
-    permanently output".
+    permanently output".  ``horizon`` is the run length the window is
+    measured against (default ``sim.time``); a run cut short by
+    :func:`extraction_stop_rule` is judged at its nominal step budget, so
+    the verdict means what a run to that budget would have meant.
     """
-    horizon = sim.time
+    if horizon is None:
+        horizon = sim.time
     cutoff = horizon * (1 - tail_fraction)
     outputs: Dict[int, Any] = {}
     for pid in sorted(pattern.correct):
@@ -244,3 +249,148 @@ def stable_emulated_output(
             return None
         outputs[pid] = sim.trace.final_emit(pid)
     return outputs
+
+
+def settle_window(n_processes: int) -> int:
+    """Own steps without an ``Emit`` that prove a Fig. 3 process settled.
+
+    With ``N = n_processes``, the longest gap between two of a process's
+    queries is one observation iteration (``Write`` + ``N`` report reads
+    + ``N`` flag reads, then the next ``QueryFD``: ``2N + 2`` steps); the
+    next iteration's ``Write`` and ``N`` report reads take ``N + 1``
+    more; and a conflict found there restarts through ``QueryFD``,
+    ``Write``, ``Emit`` — three more.  Any ``3N + 6`` consecutive
+    emit-free steps therefore hold one complete post-stabilization
+    query-and-scan that found nothing to restart on (PROOFS.md, Lemma
+    ES).
+    """
+    return 3 * n_processes + 6
+
+
+class ExtractionSettled:
+    """``stop_when`` predicate: the Fig. 3 emulated output is final.
+
+    Fires only when no correct process can ever change its emitted value
+    again (PROOFS.md, Lemma ES).  It watches the trace incrementally — a
+    few dict updates per engine step — and arms at the first time ``T0``
+    by which the history is stable (``history.stable_from``), every
+    crash of ``pattern`` has fired, and every correct process has written
+    ``R[i]`` from a query made at or after ``stable_from``.  From then on
+    it counts each correct process's own steps since its last ``Emit``.
+    Once every count reaches ``window`` (:func:`settle_window`), it fires
+    when the emitted values are
+
+    * one common ``S ≠ Π`` — everyone sits in line 21's watch loop on
+      the stable value; or
+    * all ``Π``, and ``ϕD(d*) = (Π, w)`` — the same, on the ``S = Π``
+      path; or
+    * all ``Π``, ``ϕD(d*) = (S, w > 0)`` with no ``B[k] = d*`` in memory,
+      and some crashed process wrote fewer than ``2w`` reports of
+      ``d*`` — no observation of ``d*`` can ever complete, so the
+      batches stall forever.
+
+    Any other state keeps the run going; the step cap bounds it as
+    before.  ``window`` may be overridden (the audit's sabotage sets 0).
+    """
+
+    def __init__(self, phi: Callable[[Any], PhiEntry], pattern, history,
+                 window: Optional[int] = None):
+        stable_from = history.stable_from
+        if stable_from is None:
+            raise ValueError(
+                f"{history.describe()} declares no stable_from time"
+            )
+        system = pattern.system
+        self._phi = phi
+        self._everyone = system.pid_set
+        self._pids = list(system.pids)
+        self.stable_from = stable_from
+        #: The value every process sees from ``stable_from`` on (d*).
+        self.value = history.value(self._pids[0], stable_from)
+        self.window = (
+            settle_window(system.n_processes) if window is None else window
+        )
+        self._start = max(stable_from, pattern.last_crash_time)
+        self._correct = sorted(pattern.correct)
+        self._crashed = sorted(pattern.faulty)
+        self._cursor = 0
+        self._last_query = {pid: -1 for pid in self._pids}
+        self._reports = {pid: 0 for pid in self._pids}  # R writes of d*
+        self._unreported = set(self._correct)
+        #: Own steps since the last Emit, per correct process (armed).
+        self._quiet: Optional[Dict[int, int]] = None
+
+    def __call__(self, sim) -> bool:
+        if sim.time <= self._start:
+            return False
+        steps = sim.trace.steps
+        if self._cursor < len(steps):
+            self._observe(steps)
+        quiet = self._quiet
+        if quiet is None:
+            return False
+        window = self.window
+        for pid in self._correct:
+            if quiet[pid] < window:
+                return False
+        return self._final(sim)
+
+    def _observe(self, steps) -> None:
+        stable_from = self.stable_from
+        value = self.value
+        last_query = self._last_query
+        quiet = self._quiet
+        for index in range(self._cursor, len(steps)):
+            record = steps[index]
+            pid = record.pid
+            op = record.op
+            kind = op.__class__
+            if kind is QueryFD:
+                last_query[pid] = record.time
+            elif kind is Write and op.key == report_key(pid):
+                if op.value[0] == value:
+                    self._reports[pid] += 1
+                if last_query[pid] >= stable_from:
+                    self._unreported.discard(pid)
+            if quiet is not None:
+                if pid in quiet:
+                    quiet[pid] = 0 if kind is Emit else quiet[pid] + 1
+            elif record.time >= self._start and not self._unreported:
+                quiet = self._quiet = {pid: 0 for pid in self._correct}
+        self._cursor = len(steps)
+
+    def _final(self, sim) -> bool:
+        runtimes = sim.runtimes
+        values = set()
+        for pid in self._correct:
+            runtime = runtimes[pid]
+            if not runtime.has_emitted:
+                return False
+            values.add(frozenset(runtime.emitted))
+        if len(values) != 1:
+            return False
+        (output,) = values
+        everyone = self._everyone
+        if output != everyone:
+            return True
+        target, width = self._phi(self.value)
+        if frozenset(target) == everyone:
+            return True
+        if width == 0:
+            return False
+        peek = sim.memory.peek_register
+        if any(peek(done_key(pid)) == self.value for pid in self._pids):
+            return False
+        return any(self._reports[pid] < 2 * width for pid in self._crashed)
+
+
+def extraction_stop_rule(
+    phi: Callable[[Any], PhiEntry], pattern, history,
+    window: Optional[int] = None,
+) -> Optional[ExtractionSettled]:
+    """The Fig. 3 drivers' ``stop_when``: an :class:`ExtractionSettled`
+    predicate, or ``None`` (run to the cap) when ``history`` declares no
+    ``stable_from`` time."""
+    if history is None or history.stable_from is None:
+        return None
+    return ExtractionSettled(phi, pattern, history, window=window)

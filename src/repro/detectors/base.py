@@ -40,6 +40,17 @@ class History:
     def value(self, pid: int, t: int) -> Any:
         raise NotImplementedError
 
+    @property
+    def stable_from(self) -> int | None:
+        """A time from which every process sees one value forever, or
+        ``None`` when the history declares no such time.
+
+        Drivers may stop a run early only after this time (see
+        :func:`repro.core.extraction.extraction_stop_rule`); ``None``
+        means "run to the step cap".
+        """
+        return None
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -96,6 +107,10 @@ class StableHistory(History):
         if t >= self.stabilization_time or self._noise is None:
             return self.stable_value
         return self._noise(pid, t)
+
+    @property
+    def stable_from(self) -> int:
+        return self.stabilization_time if self._noise is not None else 0
 
     def describe(self) -> str:
         return (

@@ -202,6 +202,12 @@ def run_store_backed(
     store = open_store(store)
     policy = policy or ResiliencePolicy()
     quarantine = quarantine if quarantine is not None else QuarantineReport()
+    if dispatch is not None:
+        trials_before = dispatch.trials
+        if cache is not None:
+            cache_base = (
+                cache.get_round_trips, cache.put_round_trips, cache.stores
+            )
     try:
         submitted = submit_campaign(
             store, specs, campaign=campaign, kind=kind, cache=cache,
@@ -209,6 +215,7 @@ def run_store_backed(
         worker = FarmWorker(
             store, jobs=resolve_jobs(jobs), policy=policy, cache=cache,
             campaign=submitted["campaign"], bus=bus, lease_ttl=lease_ttl,
+            dispatch=dispatch,
         )
         worker.drain()
         results, _ = collect_results(
@@ -216,7 +223,15 @@ def run_store_backed(
             quarantine=quarantine,
         )
         if dispatch is not None:
-            dispatch.trials += len(results)
+            # One per grid trial, as locally; the pool's per-batch count
+            # would add isolation re-runs and miss cached trials.
+            dispatch.trials = trials_before + len(results)
+            if cache is not None:
+                dispatch.cache_get_round_trips += \
+                    cache.get_round_trips - cache_base[0]
+                dispatch.cache_put_round_trips += \
+                    cache.put_round_trips - cache_base[1]
+                dispatch.cache_stores += cache.stores - cache_base[2]
         return results
     finally:
         if opened:

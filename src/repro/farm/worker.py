@@ -33,7 +33,8 @@ import time
 from typing import Any, Dict, List, Optional
 
 from ..perf.cache import TrialCache
-from ..perf.pool import WorkerPool, shared_pool
+from ..perf.executor import _fold_reply
+from ..perf.pool import DispatchStats, WorkerPool, shared_pool
 from ..perf.resilience import (
     ResiliencePolicy,
     TrialFailure,
@@ -133,7 +134,15 @@ class FarmWorker:
     sweep.  ``crash_after`` is the self-test hook behind
     ``--self-test-crash-after``: hard-exit (``os._exit``) after that
     many completions, mid-batch, leases still held — the worker-death
-    recovery tests and CI drive it.
+    recovery tests and CI drive it.  ``dispatch`` (a
+    :class:`~repro.perf.pool.DispatchStats`) is charged with the pool's
+    dispatch costs, as ``run_trials(dispatch=...)`` is locally.
+
+    A pool worker that dies holding a multi-trial batch charges nobody:
+    the culprit within the batch is unknown, so each trial re-runs alone
+    on the recycled slot, and only a death holding a single trial goes
+    through :meth:`~repro.farm.store.FarmStore.fail` — the local
+    resilient executor's blame rule.
     """
 
     def __init__(
@@ -153,6 +162,7 @@ class FarmWorker:
         pool: Optional[WorkerPool] = None,
         crash_after: Optional[int] = None,
         store_retry: bool = True,
+        dispatch: Optional[DispatchStats] = None,
     ):
         self.worker_id = worker_id or default_worker_id()
         if store_retry and not isinstance(store, RetryingStore):
@@ -175,6 +185,7 @@ class FarmWorker:
         self.max_idle = max_idle
         self.pool = pool
         self.crash_after = crash_after
+        self.dispatch = dispatch
         self._cache_buffer: List = []
         self.stats: Dict[str, int] = {
             "claimed": 0, "completed": 0, "failed": 0, "quarantined": 0,
@@ -279,51 +290,58 @@ class FarmWorker:
     def _run_pooled(self, leases: List[LeasedTrial],
                     heartbeat: _Heartbeat) -> None:
         pool = self.pool if self.pool is not None else shared_pool()
-        pool.ensure(self.jobs)
-        pool.limit(self.jobs)
-        chunk = max(1, -(-len(leases) // self.jobs))
-        outstanding = 0
-        for start in range(0, len(leases), chunk):
-            part = leases[start:start + chunk]
+        cache_root = str(self.cache.root) if self.cache is not None else None
+
+        def submit(indices: List[int], pin: Optional[int] = None) -> None:
             pool.submit(pool.make_task(
-                indices=[start + k for k in range(len(part))],
-                specs=[lease.spec for lease in part],
+                indices=indices,
+                specs=[leases[index].spec for index in indices],
                 observed=True, capture=True,
                 timeout=self.policy.trial_timeout,
-                cache_root=str(self.cache.root)
-                if self.cache is not None else None,
+                cache_root=cache_root, pin=pin,
             ))
-            outstanding += 1
-        try:
-            while outstanding:
-                kind, task, payload = pool.wait()
-                outstanding -= 1
-                if kind == "died":
-                    # The pool already recycled the slot; the suspect
-                    # trials go back through the store's retry budget.
-                    for index in task.indices:
-                        lease = leases[index]
-                        self._settle(lease, TrialFailure(
-                            "error",
-                            "pool worker death (recycled in place)",
+
+        with pool.scoped(self.dispatch):
+            pool.ensure(self.jobs)
+            pool.limit(self.jobs)
+            chunk = max(1, -(-len(leases) // self.jobs))
+            outstanding = 0
+            for start in range(0, len(leases), chunk):
+                submit(list(range(start, min(start + chunk, len(leases)))))
+                outstanding += 1
+            try:
+                while outstanding:
+                    kind, task, payload = pool.wait()
+                    outstanding -= 1
+                    if kind == "died":
+                        if len(task.indices) > 1:
+                            # Culprit unknown within the batch: isolate
+                            # every trial on the recycled slot, uncharged.
+                            for index in task.indices:
+                                submit([index], pin=payload)
+                            outstanding += len(task.indices)
+                            continue
+                        self._settle(leases[task.indices[0]], TrialFailure(
+                            "error", "pool worker death (recycled in place)",
                         ), None, heartbeat)
-                    continue
-                if payload.error is not None:
-                    raise payload.error
-                for index, (outcome, telemetry) in zip(
-                    task.indices, payload.items
-                ):
-                    # Pool workers already flushed successes to the
-                    # cache (cache_root); don't buffer a second write.
-                    cache, self.cache = self.cache, None
-                    try:
-                        self._settle(leases[index], outcome, telemetry,
-                                     heartbeat)
-                    finally:
-                        self.cache = cache
-        except BaseException:
-            pool.abandon_all()
-            raise
+                        continue
+                    if payload.error is not None:
+                        raise payload.error
+                    _fold_reply(payload, self.cache)
+                    for index, (outcome, telemetry) in zip(
+                        task.indices, payload.items
+                    ):
+                        # Pool workers already flushed successes to the
+                        # cache (cache_root); don't buffer a second write.
+                        cache, self.cache = self.cache, None
+                        try:
+                            self._settle(leases[index], outcome, telemetry,
+                                         heartbeat)
+                        finally:
+                            self.cache = cache
+            except BaseException:
+                pool.abandon_all()
+                raise
 
     # -- the drain loop ----------------------------------------------------
 

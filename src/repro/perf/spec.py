@@ -28,7 +28,7 @@ from typing import Optional, Union
 #: Cache-key salt for the simulation engine.  Bump whenever a change to
 #: the engine, the protocols, or the trial drivers alters what any trial
 #: returns — every previously cached result is then invalidated at once.
-ENGINE_VERSION = "2026.08.2"
+ENGINE_VERSION = "2026.10.1"
 
 #: Lazily computed environment salt (see :func:`environment_salt`).
 _ENV_SALT: Optional[str] = None

@@ -111,6 +111,14 @@ class TestOracles:
         assert any(d.kind == "result" for d in outcome.divergences)
         assert any("warm" in d.detail for d in outcome.divergences)
 
+    def test_early_stop_sabotage_is_detected(self):
+        # Without its settle window the stop rule fires on transient
+        # agreement; the full-horizon twin exposes the wrong verdict.
+        outcome = run_case("early-stop", 0, 7, sabotage="early-stop")
+        assert not outcome.ok
+        assert all(d.pair == "early-stop" for d in outcome.divergences)
+        assert any(d.fields for d in outcome.divergences)
+
     def test_abd_ack_sabotage_is_detected(self):
         outcome = run_case("substrate", 0, 7, sabotage="abd-ack")
         assert not outcome.ok

@@ -76,6 +76,7 @@ class TestLyingHistory:
             for t in range(25, 60):
                 assert history.value(pid, t) == history.inner.value(pid, t)
         assert history.stable_value == history.inner.stable_value
+        assert history.stable_from == max(25, history.inner.stable_from)
         assert "lying" in history.describe()
 
     def test_zero_prefix_is_exactly_sample_history(self):
@@ -265,6 +266,28 @@ class TestChaosTrials:
         assert result.ok, result.violations
         assert result.messages_dropped > 0
         assert result.messages_delayed > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extraction_early_stop_matches_full_horizon(self, seed):
+        # A lying prefix, bursts and starvation: the stop rule counts
+        # each process's own steps, so a starved process cannot make it
+        # fire early.
+        spec = ChaosTrialSpec(
+            "extraction", 4, seed=seed, detector="diamond_p",
+            lying_prefix=120, burst_length=8, starvation_window=20,
+            max_steps=6_000,
+        )
+        early_sims, full_sims = [], []
+        early = run_chaos_trial(spec, sim_out=early_sims)
+        full = run_chaos_trial(spec, sim_out=full_sims, stop_rule=None)
+        assert early.ok and full.ok, (early.violations, full.violations)
+        assert early.total_steps < full.total_steps == 6_000
+        assert early.violations == full.violations
+        for pid in early_sims[0].pattern.correct:
+            assert early_sims[0].trace.final_emit(pid) \
+                == full_sims[0].trace.final_emit(pid)
+            assert early_sims[0].trace.emit_stabilization_time(pid) \
+                == full_sims[0].trace.emit_stabilization_time(pid)
 
     def test_trials_are_deterministic(self):
         spec = ChaosTrialSpec(

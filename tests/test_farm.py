@@ -34,6 +34,7 @@ from repro.obs import MetricsCollector
 from repro.obs.events import FarmLeaseExpired, FarmTrialClaimed
 from repro.obs.metrics import SPAN_METRIC_PREFIX
 from repro.perf import (
+    DispatchStats,
     QuarantineReport,
     ResiliencePolicy,
     SetAgreementTrialSpec,
@@ -51,6 +52,17 @@ SPECS = [
 #: Deterministically raises inside the trial — the "always fails" spec.
 BROKEN = ChaosTrialSpec("fig1", 3, seed=0, lying_prefix=5,
                         max_steps=50_000, sabotage="raise")
+
+
+def _quick(seed: int) -> ChaosTrialSpec:
+    return ChaosTrialSpec("fig1", 3, seed=seed, lying_prefix=5,
+                          max_steps=50_000)
+
+
+def _crasher(seed: int) -> ChaosTrialSpec:
+    """Kills the pool worker that runs it (an OOM-killer stand-in)."""
+    return ChaosTrialSpec("fig1", 3, seed=seed, lying_prefix=5,
+                          max_steps=50_000, sabotage="crash")
 
 
 def _store(tmp_path, name="farm.db"):
@@ -295,6 +307,33 @@ class TestWorkerDrain:
         assert stats["completed"] == len(SPECS)
         results, _ = collect_results(store, "pooled")
         assert results == run_trials(SPECS, jobs=1)
+
+    def test_crashed_multispec_batch_does_not_charge_innocents(
+            self, tmp_path):
+        store = _store(tmp_path)
+        specs = [_quick(0), _crasher(1), _quick(2), _quick(3)]
+        submit_campaign(store, specs, campaign="blame")
+        policy = ResiliencePolicy(retries=0, backoff=0.0)
+        # batch_size 4 over 2 jobs: the crasher shares a batch with _quick(0)
+        stats = FarmWorker(store, jobs=2, batch_size=4, policy=policy,
+                           lease_ttl=10.0).drain()
+        assert stats["quarantined"] == 1
+        quarantine = QuarantineReport()
+        results, _ = collect_results(store, "blame", quarantine=quarantine)
+        assert [e.index for e in quarantine.entries] == [1]
+        assert [r is None for r in results] == [False, True, False, False]
+        assert results[0] == run_trials([specs[0]], jobs=1)[0]
+
+    def test_store_backed_run_reports_dispatch_costs(self, tmp_path):
+        dispatch = DispatchStats()
+        results = run_trials(SPECS[:4], jobs=2, dispatch=dispatch,
+                             store=str(tmp_path / "farm.db"))
+        assert results == run_trials(SPECS[:4], jobs=1)
+        assert dispatch.trials == 4
+        assert dispatch.batches > 0
+        assert dispatch.pickle_bytes_out > 0
+        assert dispatch.pickle_bytes_in > 0
+        assert dispatch.pool_spawns + dispatch.pool_reuses == 1
 
     def test_failing_trials_quarantine_and_collect_partial(self, tmp_path):
         store = _store(tmp_path)
